@@ -646,11 +646,13 @@ impl Journal {
 
     fn append(&self, payload: &[u8]) -> Result<(), JournalError> {
         let buf = frame(payload);
-        {
-            let mut file = self.file.lock().expect("journal lock");
-            file.write_all(&buf)?;
-            file.sync_data()?;
-        }
+        let mut file = self.file.lock().expect("journal lock");
+        file.write_all(&buf)?;
+        file.sync_data()?;
+        // Count and fire the crash point while the lock is held: no
+        // other worker can make a frame durable between the nth append
+        // and the abort, so "crash after append n" is exact at any
+        // thread count.
         let count = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
         if self.crash_after == Some(count) {
             // Fault injection: die *after* the nth append is durable,

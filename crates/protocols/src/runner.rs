@@ -249,13 +249,9 @@ where
     engine.set_failures(cfg.failures.clone());
     engine.set_loss(cfg.loss);
     if let Some(plan) = &cfg.shards {
-        engine.set_shards((**plan).clone(), cfg.threads);
+        engine.set_shards(plan, cfg.threads);
     }
-    let out = if cfg.threads > 1 {
-        engine.run_parallel()
-    } else {
-        engine.run()
-    };
+    let out = engine.run();
     let collisions = engine.trace().try_collision_count();
     let energy = engine.energy_report();
     let coverage = coverage_from_trace(engine.trace(), source, targets);

@@ -1,41 +1,86 @@
 //! The lock-step execution engine.
 //!
-//! # Round structure (cell-sharded)
+//! # Round structure
+//!
+//! A round costs what is awake, not what exists. With `W` workers, `d`
+//! nodes due this round and `T` the transmitters among them, one round
+//! costs
+//!
+//! ```text
+//! O(d + W · Σ_{v ∈ T} deg(v) + f · log F)
+//! ```
+//!
+//! where `f` of the `F` far-calendar entries (below) fall due, plus the
+//! trace merge's `O(d log d)` sort when a trace is recorded. Nothing in
+//! a round scans all `n` nodes or a listener's adjacency row. (With a
+//! failure plan installed every node is due every round, so `d = n`
+//! there anyway, and while some node is not done the done check also
+//! scans the compact per-node done flags for nodes dead next round.)
 //!
 //! Every round runs in three passes over the node-id cells of the
 //! installed [`ShardPlan`] (a single implicit cell unless one is set):
 //!
-//! 1. **Act** — each due node's `act()` fills flat struct-of-arrays
+//! 1. **Act** — each cell takes the nodes due this round off its wake
+//!    calendar and consults them. `act()` fills flat struct-of-arrays
 //!    scratch tables: `tx_on` (transmit channel per id), `listen_on`,
-//!    and `tx_msg` (the message, stored only for transmitters).
-//! 2. **Resolve** — each listening node scans its CSR adjacency row
-//!    against the *global* `tx_on` table, buffers its dropped
-//!    receptions in per-cell scratch, and applies `on_receive` for
-//!    clean single-transmitter rounds. Writes stay within the node's
-//!    own cell, so cells resolve independently (and, under
-//!    [`Engine::run_parallel`], concurrently).
-//! 3. **Merge** — the per-cell buffers are serialised into the trace
-//!    in canonical global id order and the done/undone counters are
-//!    aggregated, in deterministic cell order.
+//!    `tx_msg` (the message, stored only for transmitters) and the
+//!    worker's list of this round's transmitters.
+//! 2. **Deliver** — transmitter-driven: every transmitter walks its own
+//!    adjacency row and, for each neighbour listening on its channel
+//!    over a live link that loss did not drop, bumps the neighbour's
+//!    `rx_count` and sets its `rx_from`. Each consulted node then
+//!    meters its energy, applies `on_receive` when it listened and
+//!    exactly one transmitter reached it, and files itself under its
+//!    next wake round.
+//! 3. **Merge** — the workers' buffers (consulted nodes, dropped
+//!    receptions, done-count deltas) are serialised into the trace in
+//!    canonical global id order and the done counters are aggregated.
+//!
+//! # Wake calendar
+//!
+//! Programs may implement [`NodeProgram::next_wake`] to declare the
+//! next round they could possibly act in. The engine keeps each node's
+//! next consult round in `wake[]` and indexes it with one calendar per
+//! cell: a ring of 256 round slots, each the head of an intrusive
+//! list threaded through the id-indexed `next` links, plus a min-heap
+//! for wakes that lie a full ring or more ahead. A round drains its own
+//! slot and pops the heap entries that fell due, so only due nodes are
+//! consulted; skipped rounds are credited to the sleep meter in one
+//! batch at the next consult (and at run end). Because a skipped node
+//! neither transmits, listens nor mutates state, the run is
+//! observationally identical to consulting it every round — per
+//! Theorem 1 a CFF node is awake O(δ·k + Δ) rounds, so simulation cost
+//! tracks *energy*, not `n × rounds`.
+//!
+//! Programs without hints, and every node while a failure plan is
+//! installed (dead rounds must not be mis-credited as sleep), are the
+//! "due next round" case of the same calendar. Wakes past
+//! `max_rounds` are dropped. Calendar memory is 256 slots per cell,
+//! one link per node and one heap entry per far-sleeping node — bounded
+//! by `n`, whatever `max_rounds` or the hint distance — and no round
+//! allocates once the heaps and the per-worker lists have grown. The
+//! calendar is an index over `wake[]`: installing a shard plan rebuilds
+//! it from `wake[]` at the next run.
+//!
+//! # One driver, owner-filtered workers
+//!
+//! [`Engine::run`] is the only round loop. Cell `c` belongs to worker
+//! `c % W`; the calling thread is worker 0 and `W - 1` scoped threads
+//! join it behind barriers only when `W > 1`, so the sequential run is
+//! the one-worker case of the same loop. In the deliver pass every
+//! worker walks every transmitter's row but writes only the listeners
+//! of cells it owns, so all writes stay owner-disjoint without atomic
+//! read-modify-write; cross-worker reads (`listen_on`, the transmitter
+//! lists, `tx_msg`) only touch values frozen by the act barrier.
 //!
 //! Delivery is a pure function of the transmit table, graph, failure
 //! plan and the stateless per-(seed, link, round) loss hash, so the
 //! cell structure and worker count are invisible in every output: the
 //! event stream, energy meters and counters are byte-identical across
-//! 1 cell, N cells, 1 thread and N threads.
-//!
-//! # Sleep skipping
-//!
-//! Programs may implement [`NodeProgram::next_wake`] to declare the
-//! next round they could possibly act in. The engine then skips their
-//! `act()` calls entirely for the intervening rounds, crediting the
-//! skipped rounds to the sleep meter in one batch. Because a skipped
-//! node neither transmits, listens, nor mutates state, the run is
-//! observationally identical to consulting it every round — this is
-//! what makes 100k-node fields cheap: per Theorem 1 a CFF node is
-//! awake O(δ·k + Δ) rounds, so simulation cost tracks *energy*, not
-//! `n × rounds`. Hints are ignored when a failure plan is installed
-//! (dead rounds must not be mis-credited as sleep).
+//! 1 cell, N cells, 1 thread and N threads. A dropped reception keeps
+//! the sort key `(to, pos)`, `pos` being the sender's index in the
+//! listener's sorted row (a binary search paid only when the drop is
+//! traced), so the merge emits link drops in the listener's row order.
 
 use crate::action::Action;
 use crate::energy::{EnergyMeter, EnergyReport};
@@ -45,6 +90,8 @@ use crate::shard::ShardPlan;
 use crate::trace::{Trace, TraceEvent};
 use crate::Round;
 use dsnet_graph::{Graph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -149,13 +196,24 @@ pub struct RunOutcome {
 /// Valid channels are `< config.channels ≤ 255`, so 255 never collides.
 const NO_TX: u8 = u8::MAX;
 
-/// Wake sentinel for id slots that never act (no program).
+/// Wake sentinel: never consulted again (no program, or a program whose
+/// hint is `Round::MAX`).
 const NEVER: Round = Round::MAX;
 
-/// A reception destroyed by channel loss, buffered per cell during the
-/// resolve pass. `pos` is the index of `from` in `to`'s adjacency row,
-/// so sorting by `(to, pos)` reproduces the order a sequential
-/// listener-by-listener scan would have emitted the drops in.
+/// Rounds covered by a calendar's ring. Wakes at least this far ahead
+/// wait in the cell's far heap instead.
+const RING: usize = 256;
+
+/// End of a calendar list / empty ring slot.
+const NIL: u32 = u32::MAX;
+
+/// Cell sentinel for id slots without a program.
+const NO_CELL: u32 = u32::MAX;
+
+/// A reception destroyed by channel loss, buffered per worker during
+/// the deliver pass. `pos` is the index of `from` in `to`'s sorted
+/// adjacency row, so sorting by `(to, pos)` reproduces the order a
+/// listener-by-listener row scan would have emitted the drops in.
 #[derive(Debug, Clone, Copy)]
 struct DropRec {
     to: u32,
@@ -163,28 +221,73 @@ struct DropRec {
     from: u32,
 }
 
-/// Per-cell scratch, reused across rounds. Written only by the worker
-/// that owns the cell; read by the main thread during the merge pass.
+/// One transmitter of the current round.
+#[derive(Debug, Clone, Copy)]
+struct TxRec {
+    node: u32,
+    channel: u8,
+}
+
+/// Wake calendar of one cell, an index over `wake[]` for the cell's
+/// nodes. Touched only by the worker that owns the cell.
+#[derive(Debug)]
+struct Calendar {
+    /// `ring[r % RING]` heads the list (threaded through the engine's
+    /// `next` links) of nodes due in round `r`, for rounds less than
+    /// `RING` ahead.
+    ring: [u32; RING],
+    /// `(wake, node)` for wakes `RING` or more rounds ahead.
+    far: BinaryHeap<Reverse<(Round, u32)>>,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Self {
+            ring: [NIL; RING],
+            far: BinaryHeap::new(),
+        }
+    }
+
+    /// File node `i` (whose calendar link is `link`) under round `wake`,
+    /// seen from round `now < wake`. Wakes past `horizon` are dropped:
+    /// the run ends before they fall due.
+    fn file(&mut self, i: u32, link: &mut u32, wake: Round, now: Round, horizon: Round) {
+        if wake > horizon {
+            return;
+        }
+        if wake - now < RING as Round {
+            let head = &mut self.ring[wake as usize % RING];
+            *link = *head;
+            *head = i;
+        } else {
+            self.far.push(Reverse((wake, i)));
+        }
+    }
+}
+
+/// One worker's round scratch, reused across rounds. Written only by
+/// its worker; read by the main thread during the merge pass.
 #[derive(Debug, Default)]
-struct CellScratch {
-    /// Nodes consulted this round (ascending ids — cell order).
+struct WorkerScratch {
+    /// Nodes consulted this round.
     active: Vec<u32>,
-    /// Dropped receptions recorded by this cell's listeners.
+    /// Dropped receptions at this worker's listeners.
     drops: Vec<DropRec>,
     /// Net change this round to the global not-yet-done count.
     undone_delta: i64,
 }
 
-/// Raw views of the per-node struct-of-arrays tables, so the act and
-/// resolve passes can be shared verbatim between the sequential and the
-/// scoped-thread paths. Within a round, each node id is touched by
-/// exactly one cell and each cell by exactly one worker, so all writes
-/// through these pointers are disjoint; cross-cell *reads* (`tx_on`,
-/// `tx_msg`) only target values frozen by the previous pass barrier.
+/// Raw views of the per-node struct-of-arrays tables, the cell
+/// calendars and the worker scratch, shared by every worker of a run.
+/// Each node id belongs to exactly one cell and each cell to exactly one
+/// worker, so all writes through these pointers are disjoint; the
+/// cross-worker *reads* (`listen_on`, `txs`, `tx_msg`) only target
+/// values frozen by the act barrier.
 struct Tables<P: NodeProgram> {
     programs: *mut Option<P>,
     meters: *mut EnergyMeter,
     wake: *mut Round,
+    next: *mut u32,
     last_acct: *mut Round,
     done_flag: *mut bool,
     tx_on: *mut u8,
@@ -192,6 +295,10 @@ struct Tables<P: NodeProgram> {
     tx_msg: *mut Option<P::Msg>,
     rx_count: *mut u32,
     rx_from: *mut u32,
+    cals: *mut Calendar,
+    crew: *mut WorkerScratch,
+    /// Per worker: the transmitters its act pass found this round.
+    txs: *mut Vec<TxRec>,
 }
 
 impl<P: NodeProgram> Clone for Tables<P> {
@@ -201,60 +308,111 @@ impl<P: NodeProgram> Clone for Tables<P> {
 }
 impl<P: NodeProgram> Copy for Tables<P> {}
 
-// Safety: see `Tables` — per-node writes are partitioned by cell, and
-// the barrier protocol orders cross-cell reads after the writes they
-// observe. `P: Send` lets `&mut P` callbacks run on a worker thread;
-// `P::Msg: Sync + Send` covers cross-thread `&Msg` reads and the final
-// drop of buffered messages on the main thread.
+// SAFETY: every field points into a table the engine owns for the whole
+// run. The per-node tables (`programs`, `meters`, `wake`, `next`,
+// `last_acct`, `done_flag`, `tx_on`, `listen_on`, `tx_msg`, `rx_count`,
+// `rx_from`) and the cell calendars (`cals`) are written only by the
+// worker that owns the node's cell, the worker scratch (`crew`, `txs`)
+// only by its worker, and the main thread touches any of them only
+// while every worker is parked at a barrier. The barriers order each
+// cross-worker read (`listen_on`, `txs`, `tx_msg`) after the act-pass
+// writes it observes. `P: Send` lets `&mut P` callbacks run on a worker
+// thread; `P::Msg: Send + Sync` covers cross-thread `&Msg` reads and
+// the final drop of buffered messages on the main thread.
 unsafe impl<P: NodeProgram + Send> Send for Tables<P> where P::Msg: Send + Sync {}
 unsafe impl<P: NodeProgram + Send> Sync for Tables<P> where P::Msg: Send + Sync {}
 
-/// Pointer to the per-cell scratch array, shared across workers that
-/// index disjoint cells.
-struct CellsPtr(*mut CellScratch);
-unsafe impl Send for CellsPtr {}
-unsafe impl Sync for CellsPtr {}
-
-/// Shared read-only inputs of the act/resolve passes.
+/// Shared read-only inputs of a run.
 struct PassEnv<'a> {
-    csr_off: &'a [u32],
-    csr_adj: &'a [NodeId],
+    graph: &'a Graph,
+    /// Cell of every node id ([`NO_CELL`] without a program).
+    cell_of: &'a [u32],
+    n_cells: usize,
+    workers: usize,
     failures: &'a FailurePlan,
     failures_empty: bool,
     loss: LossModel,
     channels: u8,
+    /// Last round of the run; later wakes are dropped.
+    horizon: Round,
     /// Sleep-skip hints honoured (no failure plan installed).
     hints: bool,
     trace_enabled: bool,
 }
 
-/// Act pass over one cell: clear the previous round's marks, consult
-/// every due node, and fill the transmit/listen tables.
+/// One worker's share of a round: clear its previous round, act over
+/// its cells, wait for every worker's act pass, then deliver to and
+/// resolve its own listeners.
 ///
-/// Safety: `sc` must be the exclusive scratch of this cell and `cell`
-/// must contain only ids owned by it (guaranteed by `ShardPlan`).
+/// # Safety
+///
+/// `t` points into live engine tables sized for `env`, `w < env.workers`,
+/// every worker of the round calls this with a distinct `w`, and `mid` is
+/// a barrier over exactly those workers.
+unsafe fn worker_round<P: NodeProgram>(
+    env: &PassEnv<'_>,
+    t: Tables<P>,
+    w: usize,
+    round: Round,
+    mid: &Barrier,
+) {
+    {
+        let ws = &mut *t.crew.add(w);
+        let txs = &mut *t.txs.add(w);
+        for &iu in &ws.active {
+            let i = iu as usize;
+            *t.tx_on.add(i) = NO_TX;
+            *t.listen_on.add(i) = NO_TX;
+        }
+        ws.active.clear();
+        ws.drops.clear();
+        ws.undone_delta = 0;
+        txs.clear();
+        for c in (w..env.n_cells).step_by(env.workers) {
+            pass_act(env, t, &mut *t.cals.add(c), ws, txs, round);
+        }
+    }
+    if env.workers > 1 {
+        mid.wait();
+    }
+    pass_deliver(env, t, w, round);
+}
+
+/// Act pass over one cell: take every node due this round off the
+/// cell's calendar, consult it and fill the transmit/listen tables.
+///
+/// # Safety
+///
+/// As for [`worker_round`]; the caller is the worker owning the cell
+/// behind `cal`, and `ws`/`txs` are its own scratch.
 unsafe fn pass_act<P: NodeProgram>(
     env: &PassEnv<'_>,
     t: Tables<P>,
-    cell: &[u32],
-    sc: &mut CellScratch,
+    cal: &mut Calendar,
+    ws: &mut WorkerScratch,
+    txs: &mut Vec<TxRec>,
     round: Round,
 ) {
-    for &iu in &sc.active {
+    let mut cursor = std::mem::replace(&mut cal.ring[round as usize % RING], NIL);
+    loop {
+        let iu = if cursor != NIL {
+            let iu = cursor;
+            cursor = *t.next.add(iu as usize);
+            iu
+        } else {
+            match cal.far.peek() {
+                Some(&Reverse((wake, iu))) if wake <= round => {
+                    cal.far.pop();
+                    iu
+                }
+                _ => break,
+            }
+        };
         let i = iu as usize;
-        *t.tx_on.add(i) = NO_TX;
-        *t.listen_on.add(i) = NO_TX;
-    }
-    sc.active.clear();
-    sc.drops.clear();
-    sc.undone_delta = 0;
-    for &iu in cell {
-        let i = iu as usize;
-        if *t.wake.add(i) > round {
-            continue;
-        }
         let id = NodeId(iu);
         if !env.failures_empty && env.failures.node_dead(id, round) {
+            *t.wake.add(i) = round + 1;
+            cal.file(iu, &mut *t.next.add(i), round + 1, round, env.horizon);
             continue;
         }
         if env.hints {
@@ -270,7 +428,10 @@ unsafe fn pass_act<P: NodeProgram>(
             round,
             channels: env.channels,
         };
-        match (*t.programs.add(i)).as_mut().unwrap().act(&ctx) {
+        let program = (*t.programs.add(i)).as_mut();
+        let program = program.expect("calendars hold only program-bearing nodes");
+        let action = program.act(&ctx);
+        match action {
             Action::Transmit { channel, msg } => {
                 assert!(
                     channel < env.channels,
@@ -279,6 +440,7 @@ unsafe fn pass_act<P: NodeProgram>(
                 );
                 *t.tx_on.add(i) = channel;
                 *t.tx_msg.add(i) = Some(msg);
+                txs.push(TxRec { node: iu, channel });
             }
             Action::Listen { channel } => {
                 assert!(
@@ -287,115 +449,114 @@ unsafe fn pass_act<P: NodeProgram>(
                     env.channels
                 );
                 *t.listen_on.add(i) = channel;
+                *t.rx_count.add(i) = 0;
             }
             Action::Sleep => {}
         }
-        sc.active.push(iu);
+        ws.active.push(iu);
     }
 }
 
-/// Resolve pass over one cell: meter energy, scan listeners' CSR rows
-/// against the global transmit table, apply receptions, and refresh
-/// each consulted node's wake hint and done flag.
+/// Deliver pass of worker `w`: walk every transmitter's row, count
+/// receptions at the listeners `w` owns, then resolve the nodes `w`
+/// consulted — meter energy, apply clean receptions, refile each under
+/// its next wake and refresh its done flag.
 ///
-/// Safety: as for [`pass_act`]; additionally all `pass_act` writes must
-/// be complete (barrier in the parallel path).
-unsafe fn pass_resolve<P: NodeProgram>(
-    env: &PassEnv<'_>,
-    t: Tables<P>,
-    sc: &mut CellScratch,
-    round: Round,
-) {
-    let CellScratch {
-        active,
-        drops,
-        undone_delta,
-    } = sc;
-    for &iu in active.iter() {
-        let i = iu as usize;
-        let id = NodeId(iu);
-        if *t.tx_on.add(i) != NO_TX {
-            (*t.meters.add(i)).record_tx(round);
-        } else {
-            let ch = *t.listen_on.add(i);
-            if ch == NO_TX {
-                (*t.meters.add(i)).record_sleep();
-            } else {
-                (*t.meters.add(i)).record_listen(round);
-                // Count live neighbours transmitting on our channel over a
-                // live link. The flat `tx_on` byte table filters out silent
-                // neighbours before any map probe or message access.
-                let row = env.csr_off[i] as usize..env.csr_off[i + 1] as usize;
-                let mut tx_count = 0u32;
-                let mut tx_from = 0u32;
-                for (pos, &v) in env.csr_adj[row].iter().enumerate() {
-                    if *t.tx_on.add(v.index()) != ch {
-                        continue;
-                    }
-                    if !env.failures_empty && env.failures.link_dead(id, v, round) {
-                        continue;
-                    }
-                    if env.loss.dropped(v, id, round) {
-                        if env.trace_enabled {
-                            drops.push(DropRec {
-                                to: iu,
-                                pos: pos as u32,
-                                from: v.0,
-                            });
-                        }
-                        continue;
-                    }
-                    tx_count += 1;
-                    tx_from = v.0;
+/// # Safety
+///
+/// As for [`worker_round`]; every worker's act pass of this round must
+/// be complete.
+unsafe fn pass_deliver<P: NodeProgram>(env: &PassEnv<'_>, t: Tables<P>, w: usize, round: Round) {
+    let ws = &mut *t.crew.add(w);
+    for k in 0..env.workers {
+        for &TxRec { node, channel } in (*t.txs.add(k)).iter() {
+            let v = NodeId(node);
+            for &u in env.graph.neighbors(v) {
+                let ui = u.index();
+                // The flat `listen_on` byte table filters out every
+                // neighbour not tuned to this channel before any owner,
+                // failure or loss check.
+                if *t.listen_on.add(ui) != channel {
+                    continue;
                 }
-                *t.rx_count.add(i) = tx_count;
-                *t.rx_from.add(i) = tx_from;
-                if tx_count == 1 {
-                    // Hand the message over by reference straight out of
-                    // the sender's slot — no per-delivery clone. The slot
-                    // was filled this round (the sender is on the air) and
-                    // no act pass runs concurrently with resolve.
-                    let msg = (*t.tx_msg.add(tx_from as usize)).as_ref().unwrap();
-                    let ctx = NodeCtx {
-                        id,
-                        round,
-                        channels: env.channels,
-                    };
-                    (*t.programs.add(i))
-                        .as_mut()
-                        .unwrap()
-                        .on_receive(&ctx, NodeId(tx_from), msg);
+                if env.workers > 1 && env.cell_of[ui] as usize % env.workers != w {
+                    continue;
                 }
+                if !env.failures_empty && env.failures.link_dead(u, v, round) {
+                    continue;
+                }
+                if env.loss.dropped(v, u, round) {
+                    if env.trace_enabled {
+                        let pos = env.graph.neighbors(u).binary_search(&v);
+                        let pos = pos.expect("adjacency is symmetric");
+                        ws.drops.push(DropRec {
+                            to: u.0,
+                            pos: pos as u32,
+                            from: node,
+                        });
+                    }
+                    continue;
+                }
+                *t.rx_count.add(ui) += 1;
+                *t.rx_from.add(ui) = node;
             }
         }
-        let p = (*t.programs.add(i)).as_ref().unwrap();
-        *t.wake.add(i) = if env.hints {
-            match p.next_wake(round) {
-                Some(w) => w.max(round + 1),
-                None => round + 1,
-            }
+    }
+    for &iu in &ws.active {
+        let i = iu as usize;
+        let id = NodeId(iu);
+        let program = (*t.programs.add(i)).as_mut();
+        let program = program.expect("consulted nodes have programs");
+        if *t.tx_on.add(i) != NO_TX {
+            (*t.meters.add(i)).record_tx(round);
+        } else if *t.listen_on.add(i) == NO_TX {
+            (*t.meters.add(i)).record_sleep();
         } else {
-            round + 1
+            (*t.meters.add(i)).record_listen(round);
+            if *t.rx_count.add(i) == 1 {
+                // Hand the message over by reference straight out of the
+                // sender's slot — no per-delivery clone. The slot was
+                // filled this round (the sender is on the air) and no act
+                // pass runs concurrently with delivery.
+                let from = *t.rx_from.add(i);
+                let msg = (*t.tx_msg.add(from as usize)).as_ref();
+                let msg = msg.expect("the sender transmitted this round");
+                let ctx = NodeCtx {
+                    id,
+                    round,
+                    channels: env.channels,
+                };
+                program.on_receive(&ctx, NodeId(from), msg);
+            }
+        }
+        let wake = match env.hints.then(|| program.next_wake(round)).flatten() {
+            Some(w) => w.max(round + 1),
+            None => round + 1,
         };
-        let now_done = p.done();
+        *t.wake.add(i) = wake;
+        let cal = &mut *t.cals.add(env.cell_of[i] as usize);
+        cal.file(iu, &mut *t.next.add(i), wake, round, env.horizon);
+        let now_done = program.done();
         let flag = &mut *t.done_flag.add(i);
         if now_done != *flag {
-            *undone_delta += if now_done { -1 } else { 1 };
+            ws.undone_delta += if now_done { -1 } else { 1 };
             *flag = now_done;
         }
     }
 }
 
-/// Merge pass (main thread): serialise the per-cell buffers into the
-/// trace in canonical global id order. Reproduces byte-for-byte the
-/// event order of a plain sequential scan over all nodes: per active
-/// node either its `Transmit`, or — for listeners — its `LinkDrop`s in
-/// adjacency order followed by its `Deliver`/`Collision`.
-#[allow(clippy::too_many_arguments)]
+/// Merge pass (main thread): serialise the workers' buffers into the
+/// trace in canonical global id order — per active node either its
+/// `Transmit`, or, for listeners, its `LinkDrop`s in adjacency-row
+/// order followed by its `Deliver`/`Collision`.
+///
+/// # Safety
+///
+/// `t` points into live engine tables with `workers` worker scratch
+/// entries, and no worker runs concurrently.
 unsafe fn emit_round<P: NodeProgram>(
     t: Tables<P>,
-    cells: &CellsPtr,
-    n_cells: usize,
+    workers: usize,
     trace: &mut Trace,
     order: &mut Vec<u32>,
     drop_buf: &mut Vec<DropRec>,
@@ -403,10 +564,10 @@ unsafe fn emit_round<P: NodeProgram>(
 ) {
     order.clear();
     drop_buf.clear();
-    for c in 0..n_cells {
-        let sc = &*cells.0.add(c);
-        order.extend_from_slice(&sc.active);
-        drop_buf.extend_from_slice(&sc.drops);
+    for w in 0..workers {
+        let ws = &*t.crew.add(w);
+        order.extend_from_slice(&ws.active);
+        drop_buf.extend_from_slice(&ws.drops);
     }
     order.sort_unstable();
     drop_buf.sort_unstable_by_key(|d| (d.to, d.pos));
@@ -454,39 +615,18 @@ unsafe fn emit_round<P: NodeProgram>(
     }
 }
 
-/// Borrow the shared pass inputs field-by-field (not via `&self`, so
-/// the trace and scratch fields stay independently borrowable).
-macro_rules! pass_env {
-    ($e:expr) => {
-        PassEnv {
-            csr_off: &$e.csr_off,
-            csr_adj: &$e.csr_adj,
-            failures: &$e.failures,
-            failures_empty: $e.failures_empty,
-            loss: $e.loss,
-            channels: $e.config.channels,
-            hints: $e.failures_empty,
-            trace_enabled: $e.trace.is_enabled(),
+/// Death/revival notifications (trace only — the network can't observe
+/// them), in the id order `set_failures` precomputed.
+fn trace_failures(trace: &mut Trace, failures: &FailurePlan, affected: &[NodeId], round: Round) {
+    if trace.is_enabled() {
+        for &node in affected {
+            if failures.dies_at(node, round) {
+                trace.push(TraceEvent::NodeDeath { round, node });
+            } else if failures.revives_at(node, round) {
+                trace.push(TraceEvent::NodeRevive { round, node });
+            }
         }
-    };
-}
-
-/// Build the raw table views out of the engine's field vectors.
-macro_rules! tables {
-    ($e:expr) => {
-        Tables {
-            programs: $e.programs.as_mut_ptr(),
-            meters: $e.meters.as_mut_ptr(),
-            wake: $e.wake.as_mut_ptr(),
-            last_acct: $e.last_acct.as_mut_ptr(),
-            done_flag: $e.done_flag.as_mut_ptr(),
-            tx_on: $e.tx_on.as_mut_ptr(),
-            listen_on: $e.listen_on.as_mut_ptr(),
-            tx_msg: $e.tx_msg.as_mut_ptr(),
-            rx_count: $e.rx_count.as_mut_ptr(),
-            rx_from: $e.rx_from.as_mut_ptr(),
-        }
-    };
+    }
 }
 
 /// Lock-step simulator binding one [`NodeProgram`] to each live graph node.
@@ -505,14 +645,14 @@ pub struct Engine<'g, P: NodeProgram> {
     loss: LossModel,
     trace: Trace,
     round: Round,
-    /// Flattened CSR adjacency (`csr_off[i]..csr_off[i+1]` indexes
-    /// `csr_adj`): one contiguous scan per listener instead of a
-    /// pointer-chase into per-node vectors.
-    csr_off: Vec<u32>,
-    csr_adj: Vec<NodeId>,
-    /// Installed cell partition (single implicit cell until set).
-    plan: Option<ShardPlan>,
-    /// Worker threads for [`Engine::run_parallel`].
+    /// Cell of every program-bearing node id (0 until a plan is set),
+    /// [`NO_CELL`] for id slots without a program. Doubles as the
+    /// compact "has a program" test, which spares whole-table scans a
+    /// walk over the (large) program slots.
+    cell_of: Vec<u32>,
+    /// Number of cells of the installed plan (1 until set).
+    n_cells: usize,
+    /// Worker threads requested for [`Engine::run`].
     threads: usize,
     /// Scratch: this round's transmit channel per node id ([`NO_TX`] =
     /// silent).
@@ -521,21 +661,29 @@ pub struct Engine<'g, P: NodeProgram> {
     /// listening).
     listen_on: Vec<u8>,
     /// Scratch: in-flight message per *transmitting* node id. Stale slots
-    /// of earlier rounds are never read (the `tx_on` filter runs first).
+    /// of earlier rounds are never read (only this round's transmitters
+    /// are ever named by `rx_from`).
     tx_msg: Vec<Option<P::Msg>>,
     /// Scratch: resolved transmitter count / sole sender per listener.
     rx_count: Vec<u32>,
     rx_from: Vec<u32>,
-    /// Next round each node must be consulted in ([`NEVER`] = no program).
+    /// Next round each node must be consulted in ([`NEVER`] = never).
     wake: Vec<Round>,
+    /// Calendar links: the node after this one in its calendar list.
+    next: Vec<u32>,
     /// Last round accounted in the node's energy meter (sleep batching).
     last_acct: Vec<Round>,
     /// Cached `done()` per node, maintained incrementally.
     done_flag: Vec<bool>,
     /// Number of program-bearing nodes with `done_flag == false`.
     undone: usize,
-    /// Per-cell scratch, one entry per plan cell.
-    cells_scratch: Vec<CellScratch>,
+    /// Per-cell wake calendars; empty until the first run after
+    /// construction or a plan install builds them from `wake`.
+    cals: Vec<Calendar>,
+    /// Per-worker round scratch.
+    crew: Vec<WorkerScratch>,
+    /// Per-worker transmitters of the current round.
+    txs: Vec<Vec<TxRec>>,
     /// Merge-pass scratch (id order / sorted drops).
     order: Vec<u32>,
     drop_buf: Vec<DropRec>,
@@ -550,12 +698,14 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
         let mut programs: Vec<Option<P>> = Vec::with_capacity(cap);
         let mut wake = vec![NEVER; cap];
         let mut done_flag = vec![false; cap];
+        let mut cell_of = vec![NO_CELL; cap];
         let mut undone = 0usize;
         for i in 0..cap {
             let id = NodeId(i as u32);
             let p = graph.is_live(id).then(|| make(id));
             if let Some(p) = &p {
                 wake[i] = 1;
+                cell_of[i] = 0;
                 done_flag[i] = p.done();
                 if !done_flag[i] {
                     undone += 1;
@@ -563,16 +713,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             }
             programs.push(p);
         }
-        let mut csr_off = Vec::with_capacity(cap + 1);
-        let mut csr_adj = Vec::with_capacity(graph.edge_count() * 2);
-        for i in 0..cap {
-            csr_off.push(csr_adj.len() as u32);
-            let id = NodeId(i as u32);
-            if graph.is_live(id) {
-                csr_adj.extend_from_slice(graph.neighbors(id));
-            }
-        }
-        csr_off.push(csr_adj.len() as u32);
         Self {
             graph,
             config,
@@ -590,9 +730,8 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                 Trace::disabled()
             },
             round: 0,
-            csr_off,
-            csr_adj,
-            plan: None,
+            cell_of,
+            n_cells: 1,
             threads: 1,
             tx_on: vec![NO_TX; cap],
             listen_on: vec![NO_TX; cap],
@@ -600,10 +739,13 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             rx_count: vec![0; cap],
             rx_from: vec![0; cap],
             wake,
+            next: vec![NIL; cap],
             last_acct: vec![0; cap],
             done_flag,
             undone,
-            cells_scratch: Vec::new(),
+            cals: Vec::new(),
+            crew: Vec::new(),
+            txs: Vec::new(),
             order: Vec::new(),
             drop_buf: Vec::new(),
         }
@@ -624,29 +766,34 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     }
 
     /// Install a cell partition and a worker-thread count for
-    /// [`Engine::run_parallel`]. The plan must cover exactly the
-    /// program-bearing node ids. The partition and thread count are
-    /// invisible in every output — they only change *where* each node's
-    /// round is resolved.
-    pub fn set_shards(&mut self, plan: ShardPlan, threads: usize) {
-        let cap = self.programs.len();
-        let mut covered = vec![false; cap];
-        for cell in plan.cells() {
+    /// [`Engine::run`]. The plan must cover exactly the program-bearing
+    /// node ids; the engine keeps only its per-node cell map. The
+    /// partition and thread count are invisible in every output — they
+    /// only change *where* each node's round is resolved.
+    pub fn set_shards(&mut self, plan: &ShardPlan, threads: usize) {
+        let cap = self.cell_of.len();
+        let mut cell_of = vec![NO_CELL; cap];
+        for (c, cell) in plan.cells().iter().enumerate() {
             for &iu in cell {
                 let i = iu as usize;
                 assert!(
-                    i < cap && self.programs[i].is_some(),
+                    i < cap && self.cell_of[i] != NO_CELL,
                     "shard plan names node {iu} which has no program"
                 );
-                covered[i] = true;
+                cell_of[i] = c as u32;
             }
         }
-        for (i, p) in self.programs.iter().enumerate() {
-            assert!(p.is_none() || covered[i], "shard plan misses live node {i}");
+        for (i, (&old, &new)) in self.cell_of.iter().zip(&cell_of).enumerate() {
+            assert!(
+                (old == NO_CELL) == (new == NO_CELL),
+                "shard plan misses live node {i}"
+            );
         }
-        self.plan = Some(plan);
+        self.cell_of = cell_of;
+        self.n_cells = plan.cell_count().max(1);
         self.threads = threads.max(1);
-        self.cells_scratch.clear();
+        // The calendars are per cell: rebuild them from `wake` next run.
+        self.cals.clear();
     }
 
     /// The connectivity graph the engine runs against.
@@ -672,11 +819,11 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     /// Energy report over all nodes that have a program.
     pub fn energy_report(&self) -> EnergyReport {
         EnergyReport::from_meters(
-            self.programs
+            self.meters
                 .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_some())
-                .map(|(i, _)| &self.meters[i]),
+                .zip(&self.cell_of)
+                .filter(|(_, &c)| c != NO_CELL)
+                .map(|(m, _)| m),
         )
     }
 
@@ -697,56 +844,22 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
         (self.trace, self.programs)
     }
 
-    /// Materialise the default single-cell plan and size the per-cell
-    /// scratch. Idempotent.
-    fn ensure_plan(&mut self) {
-        if self.plan.is_none() {
-            let ids: Vec<NodeId> = (0..self.programs.len())
-                .filter(|&i| self.programs[i].is_some())
-                .map(|i| NodeId(i as u32))
-                .collect();
-            self.plan = Some(ShardPlan::single(ids));
-        }
-        let n_cells = self.plan.as_ref().unwrap().cell_count();
-        if self.cells_scratch.len() != n_cells {
-            self.cells_scratch = (0..n_cells).map(|_| CellScratch::default()).collect();
-        }
-    }
-
-    /// Death/revival notifications (trace only — the network can't
-    /// observe them). `affected_sorted` is precomputed in id order by
-    /// `set_failures`, so no per-round collection or sort happens here.
-    fn trace_failures(&mut self, round: Round) {
-        if self.trace.is_enabled() && !self.affected_sorted.is_empty() {
-            for &node in &self.affected_sorted {
-                if self.failures.dies_at(node, round) {
-                    self.trace.push(TraceEvent::NodeDeath { round, node });
-                } else if self.failures.revives_at(node, round) {
-                    self.trace.push(TraceEvent::NodeRevive { round, node });
-                }
+    /// Build every cell's calendar from `wake`. Ids are filed in
+    /// descending order so each list comes out ascending.
+    fn build_calendar(&mut self) {
+        self.cals = (0..self.n_cells).map(|_| Calendar::new()).collect();
+        let now = self.round;
+        for i in (0..self.wake.len()).rev() {
+            if self.wake[i] != NEVER {
+                let wake = self.wake[i].max(now + 1);
+                self.cals[self.cell_of[i] as usize].file(
+                    i as u32,
+                    &mut self.next[i],
+                    wake,
+                    now,
+                    self.config.max_rounds,
+                );
             }
-        }
-    }
-
-    /// Aggregate the per-cell done deltas (or, with failures installed,
-    /// re-scan exactly like the pre-sharding engine did: nodes dead in
-    /// `round + 1` don't block completion while they're dark).
-    fn round_done(&mut self, round: Round) -> bool {
-        if self.failures_empty {
-            let mut undone = self.undone as i64;
-            for sc in &self.cells_scratch {
-                undone += sc.undone_delta;
-            }
-            self.undone = undone as usize;
-            self.undone == 0
-        } else {
-            self.programs
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| {
-                    p.is_some() && !self.failures.node_dead(NodeId(*i as u32), round + 1)
-                })
-                .all(|(_, p)| p.as_ref().unwrap().done())
         }
     }
 
@@ -757,195 +870,146 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             return;
         }
         let end = self.round;
-        for (i, p) in self.programs.iter().enumerate() {
-            if p.is_some() && end > self.last_acct[i] {
+        for (i, &cell) in self.cell_of.iter().enumerate() {
+            if cell != NO_CELL && end > self.last_acct[i] {
                 self.meters[i].sleep_rounds += end - self.last_acct[i];
                 self.last_acct[i] = end;
             }
         }
     }
 
-    /// Execute a single round sequentially. Returns `true` if every live
-    /// node is done (checked *after* the round).
-    ///
-    /// Note for direct steppers: batched sleep credits are flushed by
-    /// [`Engine::run`]/[`Engine::run_parallel`]; after raw `step()` calls
-    /// the sleep meters of programs with wake hints lag until the next
-    /// consultation.
-    pub fn step(&mut self) -> bool {
-        self.ensure_plan();
-        self.round += 1;
-        let round = self.round;
-        self.trace_failures(round);
-        let t = tables!(self);
-        let env = pass_env!(self);
-        let plan = self.plan.as_ref().unwrap();
-        let cells = plan.cells();
-        // Safety: sequential — one thread touches every cell, and the
-        // raw table views don't alias the plan/scratch/trace fields.
-        unsafe {
-            for (c, cell) in cells.iter().enumerate() {
-                pass_act(
-                    &env,
-                    t,
-                    cell,
-                    &mut *self.cells_scratch.as_mut_ptr().add(c),
-                    round,
-                );
-            }
-            for c in 0..cells.len() {
-                pass_resolve(&env, t, &mut *self.cells_scratch.as_mut_ptr().add(c), round);
-            }
-        }
-        if self.trace.is_enabled() {
-            let cells_ptr = CellsPtr(self.cells_scratch.as_mut_ptr());
-            let n_cells = self.cells_scratch.len();
-            unsafe {
-                emit_round(
-                    t,
-                    &cells_ptr,
-                    n_cells,
-                    &mut self.trace,
-                    &mut self.order,
-                    &mut self.drop_buf,
-                    round,
-                );
-            }
-        }
-        self.round_done(round)
-    }
-
-    /// Run until all live nodes are done or the round limit is hit.
-    pub fn run(&mut self) -> RunOutcome {
-        let mut stop = StopReason::RoundLimit;
-        while self.round < self.config.max_rounds {
-            if self.step() {
-                stop = StopReason::AllDone;
-                break;
-            }
-        }
-        self.flush_sleep();
-        RunOutcome {
-            rounds: self.round,
-            stop,
-        }
-    }
-
-    /// Run with the installed shard plan resolved by `threads` scoped
-    /// workers. Produces byte-identical traces, meters and outcomes to
-    /// [`Engine::run`] — the cells are resolved concurrently but merged
-    /// in the same canonical order.
-    pub fn run_parallel(&mut self) -> RunOutcome
+    /// Run until all live nodes are done or the round limit is hit, on
+    /// the installed worker count (see [`Engine::set_shards`]). Traces,
+    /// meters and outcomes are byte-identical for every worker count and
+    /// partition.
+    pub fn run(&mut self) -> RunOutcome
     where
         P: Send,
         P::Msg: Send + Sync,
     {
-        self.ensure_plan();
-        let threads = self.threads.min(self.cells_scratch.len().max(1));
-        if threads <= 1 {
-            return self.run();
+        if self.cals.is_empty() {
+            self.build_calendar();
         }
-        let max_rounds = self.config.max_rounds;
-        let cap = self.programs.len();
-        let t = tables!(self);
-        let cells_ptr = CellsPtr(self.cells_scratch.as_mut_ptr());
-        let n_cells = self.cells_scratch.len();
-        let env = pass_env!(self);
-        let plan = self.plan.as_ref().unwrap();
+        let n_cells = self.cals.len();
+        let workers = self.threads.min(n_cells);
+        // Fresh crew: clear the marks of the last round a previous run
+        // left behind, then size the per-worker scratch.
+        for ws in &mut self.crew {
+            for &iu in &ws.active {
+                self.tx_on[iu as usize] = NO_TX;
+                self.listen_on[iu as usize] = NO_TX;
+            }
+            ws.active.clear();
+        }
+        self.crew.resize_with(workers, WorkerScratch::default);
+        self.txs.resize_with(workers, Vec::new);
+        let t = Tables {
+            programs: self.programs.as_mut_ptr(),
+            meters: self.meters.as_mut_ptr(),
+            wake: self.wake.as_mut_ptr(),
+            next: self.next.as_mut_ptr(),
+            last_acct: self.last_acct.as_mut_ptr(),
+            done_flag: self.done_flag.as_mut_ptr(),
+            tx_on: self.tx_on.as_mut_ptr(),
+            listen_on: self.listen_on.as_mut_ptr(),
+            tx_msg: self.tx_msg.as_mut_ptr(),
+            rx_count: self.rx_count.as_mut_ptr(),
+            rx_from: self.rx_from.as_mut_ptr(),
+            cals: self.cals.as_mut_ptr(),
+            crew: self.crew.as_mut_ptr(),
+            txs: self.txs.as_mut_ptr(),
+        };
+        let env = PassEnv {
+            graph: self.graph,
+            cell_of: &self.cell_of,
+            n_cells,
+            workers,
+            failures: &self.failures,
+            failures_empty: self.failures_empty,
+            loss: self.loss,
+            channels: self.config.channels,
+            horizon: self.config.max_rounds,
+            hints: self.failures_empty,
+            trace_enabled: self.trace.is_enabled(),
+        };
         let trace = &mut self.trace;
         let order = &mut self.order;
         let drop_buf = &mut self.drop_buf;
         let affected = &self.affected_sorted;
-        let round_now = AtomicU64::new(self.round);
-        let stop_flag = AtomicBool::new(false);
-        let gate_a = Barrier::new(threads + 1);
-        let gate_b = Barrier::new(threads + 1);
-        let gate_c = Barrier::new(threads + 1);
+        let max_rounds = self.config.max_rounds;
         let mut round = self.round;
         let mut undone = self.undone as i64;
         let mut stop = StopReason::RoundLimit;
+        // Barriers only exist for `workers > 1`: the one-worker run
+        // takes the same loop without a synchronisation call.
+        let round_now = AtomicU64::new(round);
+        let stop_flag = AtomicBool::new(false);
+        let start = Barrier::new(workers);
+        let mid = Barrier::new(workers);
+        let end = Barrier::new(workers);
         std::thread::scope(|s| {
-            for w in 0..threads {
-                let env = &env;
-                let plan = &*plan;
-                let cells_ptr = &cells_ptr;
-                let round_now = &round_now;
-                let stop_flag = &stop_flag;
-                let (gate_a, gate_b, gate_c) = (&gate_a, &gate_b, &gate_c);
+            for w in 1..workers {
+                let (env, round_now, stop_flag) = (&env, &round_now, &stop_flag);
+                let (start, mid, end) = (&start, &mid, &end);
                 s.spawn(move || loop {
-                    gate_a.wait();
+                    start.wait();
                     if stop_flag.load(Ordering::Acquire) {
                         break;
                     }
                     let round = round_now.load(Ordering::Acquire);
-                    // Static cell → worker map: any map works (outputs
-                    // are partition-invariant); a fixed one keeps each
-                    // cell's scratch on one thread for the whole run.
-                    unsafe {
-                        for c in (w..plan.cells().len()).step_by(threads) {
-                            let sc = &mut *cells_ptr.0.add(c);
-                            pass_act(env, t, &plan.cells()[c], sc, round);
-                        }
-                    }
-                    gate_b.wait();
-                    unsafe {
-                        for c in (w..plan.cells().len()).step_by(threads) {
-                            let sc = &mut *cells_ptr.0.add(c);
-                            pass_resolve(env, t, sc, round);
-                        }
-                    }
-                    gate_c.wait();
+                    // SAFETY: `t` outlives the scope; this thread is the
+                    // only worker `w`, running between the round's barriers.
+                    unsafe { worker_round(env, t, w, round, mid) };
+                    end.wait();
                 });
             }
             while round < max_rounds {
                 round += 1;
-                // Death/revival prologue (main thread owns the trace).
-                if trace.is_enabled() && !affected.is_empty() {
-                    for &node in affected.iter() {
-                        if env.failures.dies_at(node, round) {
-                            trace.push(TraceEvent::NodeDeath { round, node });
-                        } else if env.failures.revives_at(node, round) {
-                            trace.push(TraceEvent::NodeRevive { round, node });
-                        }
-                    }
+                trace_failures(trace, env.failures, affected, round);
+                if workers > 1 {
+                    round_now.store(round, Ordering::Release);
+                    start.wait();
                 }
-                round_now.store(round, Ordering::Release);
-                gate_a.wait();
-                gate_b.wait();
-                gate_c.wait();
+                // SAFETY: the calling thread is worker 0; the helpers run
+                // the other worker indices between the same barriers.
+                unsafe { worker_round(&env, t, 0, round, &mid) };
+                if workers > 1 {
+                    end.wait();
+                }
                 if trace.is_enabled() {
-                    unsafe {
-                        emit_round(t, &cells_ptr, n_cells, trace, order, drop_buf, round);
-                    }
+                    // SAFETY: every helper is parked at `start`.
+                    unsafe { emit_round(t, workers, trace, order, drop_buf, round) };
                 }
-                let done = if env.failures_empty {
-                    unsafe {
-                        for c in 0..n_cells {
-                            undone += (*cells_ptr.0.add(c)).undone_delta;
-                        }
+                // `done_flag` is exact for every node: a program only
+                // changes state while consulted, and each consult
+                // refreshes its flag.
+                // SAFETY: every helper is parked at `start`.
+                let done = unsafe {
+                    for w in 0..workers {
+                        undone += (*t.crew.add(w)).undone_delta;
                     }
+                    // Nodes dead in `round + 1` don't block completion
+                    // while they're dark.
                     undone == 0
-                } else {
-                    // Same dead-node-exempt scan as the sequential path.
-                    unsafe {
-                        (0..cap).all(|i| match (*t.programs.add(i)).as_ref() {
-                            None => true,
-                            Some(p) => {
-                                p.done() || env.failures.node_dead(NodeId(i as u32), round + 1)
-                            }
-                        })
-                    }
+                        || (!env.failures_empty
+                            && (0..env.cell_of.len()).all(|i| {
+                                env.cell_of[i] == NO_CELL
+                                    || *t.done_flag.add(i)
+                                    || env.failures.node_dead(NodeId(i as u32), round + 1)
+                            }))
                 };
                 if done {
                     stop = StopReason::AllDone;
                     break;
                 }
             }
-            stop_flag.store(true, Ordering::Release);
-            gate_a.wait();
+            if workers > 1 {
+                stop_flag.store(true, Ordering::Release);
+                start.wait();
+            }
         });
         self.round = round;
-        self.undone = undone.max(0) as usize;
+        self.undone = undone as usize;
         self.flush_sleep();
         RunOutcome {
             rounds: round,

@@ -1,11 +1,11 @@
 //! Spatial shard plans for cell-parallel delivery resolution.
 //!
 //! A [`ShardPlan`] partitions the program-bearing node ids of an engine
-//! run into *cells*. The engine resolves each round cell-by-cell: every
-//! cell gathers its own nodes' actions and receptions into private
-//! scratch buffers, and the per-cell results are merged in canonical
-//! (global node-id) order before anything observable — trace events,
-//! energy totals, the done check — is produced.
+//! run into *cells*. Each cell keeps its own wake calendar and belongs
+//! to one worker, which gathers its cells' actions and receptions into
+//! private scratch buffers; the per-worker results are merged in
+//! canonical (global node-id) order before anything observable — trace
+//! events, energy totals, the done check — is produced.
 //!
 //! The contract that makes intra-run parallelism safe to offer at all:
 //! **the cell structure is invisible in every output**. Delivery is a
@@ -53,12 +53,6 @@ impl ShardPlan {
             cell.sort_unstable();
         }
         Self { cells: out }
-    }
-
-    /// The single-cell plan over the given ids — what every run uses
-    /// unless a spatial plan is installed.
-    pub fn single(ids: impl IntoIterator<Item = NodeId>) -> Self {
-        Self::from_cells(vec![ids.into_iter().collect()])
     }
 
     /// Number of cells (including empty ones).

@@ -110,15 +110,10 @@ fn run_once(
         fp.kill_node_for(victim, 3, 2);
         engine.set_failures(fp);
     }
-    let sharded = plan.is_some();
     if let Some(plan) = plan {
-        engine.set_shards(plan, threads);
+        engine.set_shards(&plan, threads);
     }
-    let outcome = if sharded && threads > 1 {
-        engine.run_parallel()
-    } else {
-        engine.run()
-    };
+    let outcome = engine.run();
     let n = g.capacity();
     RunResult {
         outcome,
@@ -201,7 +196,7 @@ proptest! {
         // "parallel" path a one-worker pipeline.
         let single = run_once(
             &g, &table, channels, loss_ppm, loss_seed, kill,
-            Some(ShardPlan::single((0..n as u32).map(NodeId))), 2,
+            Some(ShardPlan::from_cells(vec![(0..n as u32).map(NodeId).collect()])), 2,
         );
         assert_same("single cell, 2 threads", &base, &single)?;
     }

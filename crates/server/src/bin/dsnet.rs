@@ -550,14 +550,15 @@ fn run_perf_cmd(a: &Args) {
 /// One traced broadcast over a density-scaled unit-disk field, with the
 /// full deterministic event stream on stdout.
 ///
-/// The field side is derived as `sqrt(nodes / 5)` (~5 nodes per unit²),
-/// so per-node degree stays constant as `--nodes` grows — this is the
-/// CLI surface of the 10k/100k perf scenarios. Delivery is sharded over
-/// a spatial cell grid (`--shards`, default 64 cells) and executed on
-/// `--threads` workers; by the engine's determinism contract the stdout
-/// stream is byte-identical for every thread and cell count, and the
-/// `scale` determinism-smoke axis diffs exactly that. Timing goes to
-/// stderr, never stdout.
+/// The field side is derived as `sqrt(nodes / 5)` (~5 nodes per unit² on
+/// average) — this is the CLI surface of the 10k/100k perf scenarios.
+/// The deployment clumps, so degree still grows with `--nodes`: at seed 7
+/// the measured mean degree is 34 at 10k nodes, 61 at 50k and 79 at 100k.
+/// Delivery is sharded over a spatial cell grid (`--shards`, default 64
+/// cells) and executed on `--threads` workers; by the engine's
+/// determinism contract the stdout stream is byte-identical for every
+/// thread and cell count, and the `scale` determinism-smoke axis diffs
+/// exactly that. Timing goes to stderr, never stdout.
 fn run_scale_cmd(a: &Args) {
     let side = (a.nodes as f64 / 5.0).sqrt();
     let t0 = std::time::Instant::now();

@@ -20,8 +20,9 @@
 #   resume          crash a journaled campaign at a fixed injected point,
 #                   resume from the journal, and require the resumed
 #                   artifacts byte-identical to an uninterrupted run
-#   scale           10k-node density-scaled broadcast with cell-sharded
-#                   parallel delivery: the full traced event stream on
+#   scale           10k-node density-scaled broadcasts (improved CFF,
+#                   DFO, improved CFF on 2 channels) with cell-sharded
+#                   parallel delivery: each full traced event stream on
 #                   1 thread must be byte-for-byte identical to 2
 #                   threads (and to a different shard-cell count)
 #   knowledge       dirty-scoped snapshot patching: a churn-heavy traced
@@ -97,23 +98,29 @@ resume_smoke() {
     cmp tresume_base.csv tresume_run.csv
 }
 
-# Parallel-delivery determinism: one 10k-node broadcast, traced, on 1
-# and 2 worker threads (and once more on 2 threads with a different
+# Parallel-delivery determinism: 10k-node broadcasts, traced, on 1 and
+# 2 worker threads (and once more on 2 threads with a different
 # spatial-cell count). The engine's contract is that the merged event
 # stream never depends on the partition or the worker count, so all
-# three stdout streams must be byte-for-byte identical.
+# three stdout streams must be byte-for-byte identical. Three variants:
+# improved CFF (wake hints: the engine consults only due nodes), DFO
+# (no hints: every node is due every round) and improved CFF on two
+# channels.
 scale_smoke() {
-    local flags="--nodes 10000 --seed 7 --quiet"
-    # shellcheck disable=SC2086  # flags are a curated word list
-    "${DSNET[@]}" scale $flags --threads 1 > tscale1.stream
-    # shellcheck disable=SC2086
-    "${DSNET[@]}" scale $flags --threads 2 > tscale2.stream
-    cmp tscale1.stream tscale2.stream
-    # A different partition must also be invisible — compare past the
-    # header line, which records the cell count by design.
-    # shellcheck disable=SC2086
-    "${DSNET[@]}" scale $flags --threads 2 --shards 23 > tscale_cells.stream
-    cmp <(tail -n +2 tscale1.stream) <(tail -n +2 tscale_cells.stream)
+    local flags="--nodes 10000 --seed 7 --quiet" variant tag
+    for variant in "" "--protocol dfo" "--channels 2"; do
+        tag=$(echo "$variant" | tr -dc 'a-z0-9')
+        # shellcheck disable=SC2086  # flags are a curated word list
+        "${DSNET[@]}" scale $flags $variant --threads 1 > "tscale${tag}1.stream"
+        # shellcheck disable=SC2086
+        "${DSNET[@]}" scale $flags $variant --threads 2 > "tscale${tag}2.stream"
+        cmp "tscale${tag}1.stream" "tscale${tag}2.stream"
+        # A different partition must also be invisible — compare past the
+        # header line, which records the cell count by design.
+        # shellcheck disable=SC2086
+        "${DSNET[@]}" scale $flags $variant --threads 2 --shards 23 > "tscale${tag}_cells.stream"
+        cmp <(tail -n +2 "tscale${tag}1.stream") <(tail -n +2 "tscale${tag}_cells.stream")
+    done
 }
 
 # Knowledge-patch determinism: the dirty-scoped snapshot patch must be
@@ -234,7 +241,7 @@ for axis in "$@"; do
     if [ "$axis" = scale ]; then
         echo "=== determinism smoke: scale ==="
         scale_smoke
-        echo "=== scale: 10k-node traced streams identical across threads and shard cells ==="
+        echo "=== scale: 10k-node traced streams (cff, dfo, 2 channels) identical across threads and shard cells ==="
         continue
     fi
     if [ "$axis" = knowledge ]; then
