@@ -1,24 +1,12 @@
-//! Benchmark support for the dsnet reproduction.
+//! Figure support for the dsnet reproduction.
 //!
-//! The Criterion benches (`benches/fig*_*.rs`) measure the wall-clock cost
-//! of regenerating each figure at a reduced sweep, and the micro benches
-//! time the individual protocol executions and cluster operations. The
-//! `figures` binary (`cargo run -p dsnet-bench --release --bin figures`)
-//! prints the actual paper tables.
+//! The `figures` binary (`cargo run -p dsnet-bench --release --bin figures`)
+//! prints the paper tables. Wall-clock and per-layer costs are measured by
+//! the `perfbench/` workloads, not here.
 
 pub mod perf;
 
 use dsnet::experiments::SweepConfig;
-
-/// The sweep used inside Criterion benches: small enough to iterate, large
-/// enough to exercise every code path.
-pub fn bench_sweep() -> SweepConfig {
-    SweepConfig {
-        ns: vec![100],
-        reps: 1,
-        ..SweepConfig::default()
-    }
-}
 
 /// The full paper sweep used by the `figures` binary.
 pub fn paper_sweep() -> SweepConfig {
@@ -31,7 +19,6 @@ mod tests {
 
     #[test]
     fn sweeps_are_sane() {
-        assert!(!bench_sweep().ns.is_empty());
         assert_eq!(paper_sweep().ns, vec![100, 200, 300, 400, 500]);
     }
 }

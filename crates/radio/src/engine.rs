@@ -71,7 +71,9 @@
 //! worker walks every transmitter's row but writes only the listeners
 //! of cells it owns, so all writes stay owner-disjoint without atomic
 //! read-modify-write; cross-worker reads (`listen_on`, the transmitter
-//! lists, `tx_msg`) only touch values frozen by the act barrier.
+//! lists, `tx_msg`) only touch values frozen by the act barrier. A
+//! worker that panics poisons the round barrier, so the others stop
+//! waiting and the panic reaches the caller of [`Engine::run`].
 //!
 //! Delivery is a pure function of the transmit table, graph, failure
 //! plan and the stateless per-(seed, link, round) loss hash, so the
@@ -83,6 +85,7 @@
 //! traced), so the merge emits link drops in the listener's row order.
 
 use crate::action::Action;
+use crate::barrier::{Barrier, Poisoned};
 use crate::energy::{EnergyMeter, EnergyReport};
 use crate::failure::FailurePlan;
 use crate::loss::LossModel;
@@ -93,7 +96,6 @@ use dsnet_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
 
 /// Read-only per-callback context handed to node programs.
 #[derive(Debug, Clone, Copy)]
@@ -342,20 +344,21 @@ struct PassEnv<'a> {
 
 /// One worker's share of a round: clear its previous round, act over
 /// its cells, wait for every worker's act pass, then deliver to and
-/// resolve its own listeners.
+/// resolve its own listeners. Fails, skipping the deliver pass, if
+/// another worker panicked.
 ///
 /// # Safety
 ///
 /// `t` points into live engine tables sized for `env`, `w < env.workers`,
-/// every worker of the round calls this with a distinct `w`, and `mid` is
-/// a barrier over exactly those workers.
+/// every worker of the round calls this with a distinct `w`, and `sync`
+/// is a barrier over exactly those workers.
 unsafe fn worker_round<P: NodeProgram>(
     env: &PassEnv<'_>,
     t: Tables<P>,
     w: usize,
     round: Round,
-    mid: &Barrier,
-) {
+    sync: &Barrier,
+) -> Result<(), Poisoned> {
     {
         let ws = &mut *t.crew.add(w);
         let txs = &mut *t.txs.add(w);
@@ -373,9 +376,10 @@ unsafe fn worker_round<P: NodeProgram>(
         }
     }
     if env.workers > 1 {
-        mid.wait();
+        sync.wait()?;
     }
     pass_deliver(env, t, w, round);
+    Ok(())
 }
 
 /// Act pass over one cell: take every node due this round off the
@@ -940,50 +944,58 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
         let mut round = self.round;
         let mut undone = self.undone as i64;
         let mut stop = StopReason::RoundLimit;
-        // Barriers only exist for `workers > 1`: the one-worker run
-        // takes the same loop without a synchronisation call.
+        // Each round passes the barrier three times (start, after the
+        // act pass, end), and only for `workers > 1`: the one-worker
+        // run takes the same loop without a synchronisation call. A
+        // panicking worker poisons the barrier, the others leave the
+        // loop, and the panic is re-raised here on the caller.
         let round_now = AtomicU64::new(round);
         let stop_flag = AtomicBool::new(false);
-        let start = Barrier::new(workers);
-        let mid = Barrier::new(workers);
-        let end = Barrier::new(workers);
+        let sync = Barrier::new(workers);
         std::thread::scope(|s| {
-            for w in 1..workers {
-                let (env, round_now, stop_flag) = (&env, &round_now, &stop_flag);
-                let (start, mid, end) = (&start, &mid, &end);
-                s.spawn(move || loop {
-                    start.wait();
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let round = round_now.load(Ordering::Acquire);
-                    // SAFETY: `t` outlives the scope; this thread is the
-                    // only worker `w`, running between the round's barriers.
-                    unsafe { worker_round(env, t, w, round, mid) };
-                    end.wait();
-                });
-            }
+            let helpers: Vec<_> = (1..workers)
+                .map(|w| {
+                    let (env, round_now, stop_flag, sync) = (&env, &round_now, &stop_flag, &sync);
+                    s.spawn(move || {
+                        let _poison = sync.poison_on_panic();
+                        while sync.wait().is_ok() && !stop_flag.load(Ordering::Acquire) {
+                            let round = round_now.load(Ordering::Acquire);
+                            // SAFETY: `t` outlives the scope; this thread is
+                            // the only worker `w`, running between the
+                            // round's barriers.
+                            let acted = unsafe { worker_round(env, t, w, round, sync) };
+                            if acted.is_err() || sync.wait().is_err() {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let _poison = (workers > 1).then(|| sync.poison_on_panic());
             while round < max_rounds {
                 round += 1;
                 trace_failures(trace, env.failures, affected, round);
                 if workers > 1 {
                     round_now.store(round, Ordering::Release);
-                    start.wait();
+                    if sync.wait().is_err() {
+                        break;
+                    }
                 }
                 // SAFETY: the calling thread is worker 0; the helpers run
                 // the other worker indices between the same barriers.
-                unsafe { worker_round(&env, t, 0, round, &mid) };
-                if workers > 1 {
-                    end.wait();
+                if unsafe { worker_round(&env, t, 0, round, &sync) }.is_err()
+                    || (workers > 1 && sync.wait().is_err())
+                {
+                    break;
                 }
                 if trace.is_enabled() {
-                    // SAFETY: every helper is parked at `start`.
+                    // SAFETY: every helper is parked at the next start.
                     unsafe { emit_round(t, workers, trace, order, drop_buf, round) };
                 }
                 // `done_flag` is exact for every node: a program only
                 // changes state while consulted, and each consult
                 // refreshes its flag.
-                // SAFETY: every helper is parked at `start`.
+                // SAFETY: every helper is parked at the next start.
                 let done = unsafe {
                     for w in 0..workers {
                         undone += (*t.crew.add(w)).undone_delta;
@@ -1005,7 +1017,12 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             }
             if workers > 1 {
                 stop_flag.store(true, Ordering::Release);
-                start.wait();
+                let _ = sync.wait();
+            }
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         self.round = round;

@@ -22,6 +22,7 @@
 //! record a full event [`Trace`] for debugging and verification.
 
 pub mod action;
+mod barrier;
 pub mod energy;
 pub mod engine;
 pub mod failure;

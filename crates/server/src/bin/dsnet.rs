@@ -17,8 +17,7 @@
 //!                 [--compare BASELINE.json] [--max-regress 0.15] [--quiet]
 //! dsnet scale     --nodes 10000 --seed 7 [--threads T] [--shards CELLS] \
 //!                 [--protocol cff|cff1|rcff|dfo] [--channels k] [--quiet]
-//! dsnet serve     [--tcp ADDR] [--unix PATH] [--max-sessions N] \
-//!                 [--io reactor|threads] [--shards N] [--poll-ms MS] [--quiet]
+//! dsnet serve     [--tcp ADDR] [--unix PATH] [--max-sessions N] [--shards N] [--quiet]
 //! dsnet client    (--tcp ADDR | --unix PATH) [--session NAME] [--binary] \
 //!                 (--ping | --create | --destroy | --script FILE [--keep] | \
 //!                  --stream | --peek | --watch [--count K] | --shutdown) \
@@ -55,7 +54,7 @@ use dsnet::{GroupPlan, NetSession, NetworkBuilder, Protocol, SensorNetwork, Sess
 use dsnet_graph::NodeId;
 use dsnet_radio::LossModel;
 use dsnet_server::protocol::parse_script;
-use dsnet_server::{run_script, Client, ClientError, FrameFormat, IoMode, ServeOptions, Server};
+use dsnet_server::{run_script, Client, ClientError, FrameFormat, ServeOptions, Server};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -98,9 +97,7 @@ struct Args {
     tcp: Option<String>,
     unix_sock: Option<String>,
     max_sessions: usize,
-    io: IoMode,
     shards: usize,
-    poll_ms: u64,
     binary: bool,
     session: Option<String>,
     script: Option<String>,
@@ -148,9 +145,7 @@ impl Default for Args {
             tcp: None,
             unix_sock: None,
             max_sessions: 0,
-            io: IoMode::default(),
             shards: 0,
-            poll_ms: 0,
             binary: false,
             session: None,
             script: None,
@@ -179,7 +174,7 @@ fn usage() -> ! {
          scale: dsnet scale --nodes N --seed S [--threads T] [--shards CELLS] \
          [--protocol cff|cff1|rcff|dfo] [--channels K] [--quiet]\n\
          serve: dsnet serve [--tcp ADDR] [--unix PATH] [--max-sessions N] \
-         [--io reactor|threads] [--shards N] [--poll-ms MS] [--quiet]\n\
+         [--shards N] [--quiet]\n\
          client: dsnet client (--tcp ADDR | --unix PATH) [--session NAME] [--binary] \
          (--ping | --create | --destroy | --script FILE [--keep] | --stream | \
          --peek | --watch [--count K] | --shutdown) \
@@ -250,9 +245,7 @@ fn parse() -> (String, Args) {
             "--tcp" => a.tcp = Some(val()),
             "--unix" => a.unix_sock = Some(val()),
             "--max-sessions" => a.max_sessions = val().parse().unwrap_or_else(|_| usage()),
-            "--io" => a.io = IoMode::from_label(&val()).unwrap_or_else(|| usage()),
             "--shards" => a.shards = val().parse().unwrap_or_else(|_| usage()),
-            "--poll-ms" => a.poll_ms = val().parse().unwrap_or_else(|_| usage()),
             "--binary" => a.binary = true,
             "--session" => a.session = Some(val()),
             "--script" => {
@@ -629,9 +622,7 @@ fn run_serve_cmd(a: &Args) {
         tcp: a.tcp.clone(),
         unix: a.unix_sock.clone().map(PathBuf::from),
         max_sessions: a.max_sessions,
-        io: a.io,
         shards: a.shards,
-        poll_ms: a.poll_ms,
         ..ServeOptions::default()
     };
     dsnet_server::install_sigint_handler();
@@ -648,10 +639,7 @@ fn run_serve_cmd(a: &Args) {
     println!("ready ({} session slots)", server.host().max_sessions());
     let _ = std::io::stdout().flush();
     if !a.quiet {
-        eprintln!(
-            "dsnet-server up ({} engine); Ctrl-C or the wire 'shutdown' op drains and exits",
-            a.io.label()
-        );
+        eprintln!("dsnet-server up; Ctrl-C or the wire 'shutdown' op drains and exits");
     }
     server.wait();
     if !a.quiet {

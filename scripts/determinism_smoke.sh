@@ -11,12 +11,10 @@
 #   loss            lossy channels × repair × transient outages
 #   mobility-audit  long-horizon motion with dirty-scoped invariant
 #                   auditing on every maintenance epoch
-#   server          scripted session through a live thread-engine daemon
-#                   vs the same script applied library-direct
-#                   (byte-identical streams)
-#   server-reactor  same script through a reactor-engine daemon, driven
-#                   once over JSON frames and once over negotiated
-#                   binary frames, both byte-identical to library-direct
+#   server          scripted session through a live reactor daemon,
+#                   driven once over JSON frames and once over
+#                   negotiated binary frames, vs the same script applied
+#                   library-direct (byte-identical streams)
 #   resume          crash a journaled campaign at a fixed injected point,
 #                   resume from the journal, and require the resumed
 #                   artifacts byte-identical to an uninterrupted run
@@ -37,7 +35,7 @@
 set -euo pipefail
 
 if [ "$#" -lt 1 ]; then
-    echo "usage: $0 <core|mobility|loss|mobility-audit|server|server-reactor|resume|scale|knowledge> [...]" >&2
+    echo "usage: $0 <core|mobility|loss|mobility-audit|server|resume|scale|knowledge> [...]" >&2
     exit 2
 fi
 
@@ -67,7 +65,7 @@ axis_flags() {
                   --mobility rwp0.08x40p1,gm0.05x40"
             ;;
         *)
-            echo "unknown axis: $1 (want core, mobility, loss, mobility-audit, server, server-reactor, resume, scale, or knowledge)" >&2
+            echo "unknown axis: $1 (want core, mobility, loss, mobility-audit, server, resume, scale, or knowledge)" >&2
             exit 2
             ;;
     esac
@@ -175,14 +173,12 @@ EOS
     cmp tknowledge_r1.csv tknowledge_r2.csv
 }
 
-# Server determinism: boot a unix-socket daemon on the given I/O engine
-# ($1: reactor|threads), run a fixed churn-heavy script through
-# `client --script` once per requested framing ($2...: "" for JSON,
-# "--binary" for negotiated binary frames), run the same script
-# library-direct, and require every stream byte-identical.
+# Server determinism: boot a unix-socket daemon, run a fixed churn-heavy
+# script through `client --script` once over JSON frames and once over
+# negotiated binary frames, run the same script library-direct, and
+# require every stream byte-identical.
 server_smoke() {
-    local engine="$1"; shift
-    local sock="tserver-$engine.sock" script="tserver.script" pid framing tag
+    local sock="tserver.sock" script="tserver.script" pid framing tag
     rm -f "$sock"
     # Build up front so the daemon's socket-wait window below never
     # races a cold compile.
@@ -197,7 +193,7 @@ server_smoke() {
 {"cmd": "revive", "node": 3}
 {"cmd": "snapshot"}
 EOS
-    "${DSNET[@]}" serve --unix "$sock" --io "$engine" --max-sessions 4 --quiet &
+    "${DSNET[@]}" serve --unix "$sock" --max-sessions 4 --quiet &
     pid=$!
     for _ in $(seq 1 100); do
         [ -S "$sock" ] && break
@@ -206,14 +202,14 @@ EOS
     [ -S "$sock" ] || { echo "daemon did not come up" >&2; exit 1; }
     "${DSNET[@]}" direct --script "$script" \
         --nodes 40 --seed 2007 > tserver_direct.stream
-    for framing in "$@"; do
+    for framing in "" --binary; do
         tag=json
         [ -n "$framing" ] && tag=binary
         # shellcheck disable=SC2086  # framing is "" or a single flag
         "${DSNET[@]}" client --unix "$sock" $framing \
             --session "smoke-$tag" --script "$script" \
-            --nodes 40 --seed 2007 > "tserver_${engine}_${tag}.stream"
-        cmp "tserver_${engine}_${tag}.stream" tserver_direct.stream
+            --nodes 40 --seed 2007 > "tserver_${tag}.stream"
+        cmp "tserver_${tag}.stream" tserver_direct.stream
     done
     "${DSNET[@]}" client --unix "$sock" --shutdown > /dev/null
     wait "$pid"
@@ -222,14 +218,8 @@ EOS
 for axis in "$@"; do
     if [ "$axis" = server ]; then
         echo "=== determinism smoke: server ==="
-        server_smoke threads ""
-        echo "=== server: thread-engine daemon and library-direct streams identical ==="
-        continue
-    fi
-    if [ "$axis" = server-reactor ]; then
-        echo "=== determinism smoke: server-reactor ==="
-        server_smoke reactor "" "--binary"
-        echo "=== server-reactor: reactor daemon (JSON and binary framing) matches library-direct ==="
+        server_smoke
+        echo "=== server: reactor daemon (JSON and binary framing) matches library-direct ==="
         continue
     fi
     if [ "$axis" = resume ]; then
